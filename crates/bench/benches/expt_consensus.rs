@@ -28,6 +28,7 @@
 
 use std::any::Any;
 
+use zen_bench::gate::{Direction, Gate};
 use zen_cluster::GossipMode;
 use zen_core::apps::{Acl, ProactiveFabric};
 use zen_core::harness::{build_cluster_fabric, build_fabric, Fabric, FabricOptions};
@@ -287,26 +288,8 @@ fn run_leader_kill(n: usize, burst: u64) -> KillOutcome {
     }
 }
 
-/// Pull `"digest_entries_sent_n5":<num>` out of the committed baseline
-/// by hand (the workspace is serde-free on principle).
-fn baseline_entries(path: &str) -> Option<f64> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let line = text
-        .lines()
-        .find(|l| l.contains("\"type\":\"bench_summary\"") && l.contains("\"id\":\"E20\""))?;
-    let key = "\"digest_entries_sent_n5\":";
-    let at = line.find(key)? + key.len();
-    let rest = &line[at..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
 fn main() {
     let quick = std::env::var("BENCH_E20_QUICK").is_ok_and(|v| v == "1");
-    let pct: f64 = std::env::var("BENCH_E20_PCT")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20.0);
     let replica_counts: &[usize] = if quick { &[5] } else { &[5, 7, 9] };
     let mut json = String::new();
 
@@ -431,29 +414,17 @@ fn main() {
 
     // Perf-regression gate: east-west volume is a cost, so the gate is
     // a ceiling over the committed baseline.
-    match std::env::var("BENCH_E20_BASELINE") {
-        Ok(path) => match baseline_entries(&path) {
-            Some(base) => {
-                let ceiling = base * (1.0 + pct / 100.0);
-                println!(
-                    "# baseline digest entries {base:.0} ({path}); ceiling {ceiling:.0}, \
-                     measured {gate_metric:.0}"
-                );
-                if gate_metric > ceiling {
-                    eprintln!(
-                        "E20 REGRESSION: digest-mode east-west volume {gate_metric:.0} is more \
-                         than {pct}% above baseline {base:.0} ({path})"
-                    );
-                    std::process::exit(1);
-                }
-            }
-            None => {
-                eprintln!("E20: baseline {path} missing or unparsable; failing the gate");
-                std::process::exit(1);
-            }
-        },
-        Err(_) => println!("# no BENCH_E20_BASELINE set; regression gate skipped"),
+    Gate {
+        id: "E20",
+        key: "digest_entries_sent_n5",
+        direction: Direction::Ceiling,
+        what: "digest-mode east-west volume",
+        label: "digest entries ",
+        unit: "",
+        base_unit: "",
+        decimals: 0,
     }
+    .check(gate_metric);
 
     println!();
     println!("# Shape check: suffix resend volume scales with log length × unacked");

@@ -29,6 +29,7 @@
 
 use std::collections::BTreeMap;
 
+use zen_bench::gate::{Direction, Gate};
 use zen_core::apps::proactive::FABRIC_MAC;
 use zen_core::apps::ProactiveFabric;
 use zen_core::harness::default_host_ip;
@@ -235,26 +236,8 @@ fn run(two_phase: bool, quick: bool) -> Outcome {
     }
 }
 
-/// Pull `"twophase_commit_ms":<num>` out of the committed baseline by
-/// hand (the workspace is serde-free on principle).
-fn baseline_commit_ms(path: &str) -> Option<f64> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let line = text
-        .lines()
-        .find(|l| l.contains("\"type\":\"bench_summary\"") && l.contains("\"id\":\"E19\""))?;
-    let key = "\"twophase_commit_ms\":";
-    let at = line.find(key)? + key.len();
-    let rest = &line[at..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
 fn main() {
     let quick = std::env::var("BENCH_E19_QUICK").is_ok_and(|v| v == "1");
-    let pct: f64 = std::env::var("BENCH_E19_PCT")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20.0);
     let mut json = String::new();
 
     println!("# E19 — consistent updates: two-phase epoch rewrite vs naive burst");
@@ -363,27 +346,15 @@ fn main() {
 
     // Perf-regression gate: the two-phase rewrite's simulated commit
     // latency against the committed baseline, if one is configured.
-    match std::env::var("BENCH_E19_BASELINE") {
-        Ok(path) => match baseline_commit_ms(&path) {
-            Some(base) => {
-                let ceiling = base * (1.0 + pct / 100.0);
-                let measured = tp.commit_ms;
-                println!(
-                    "# baseline {base:.2} ms ({path}); ceiling {ceiling:.2}, measured {measured:.2}"
-                );
-                if measured > ceiling {
-                    eprintln!(
-                        "E19 REGRESSION: two-phase rewrite commit {measured:.2} ms is more than \
-                         {pct}% above baseline {base:.2} ms ({path})"
-                    );
-                    std::process::exit(1);
-                }
-            }
-            None => {
-                eprintln!("E19: baseline {path} missing or unparsable; failing the gate");
-                std::process::exit(1);
-            }
-        },
-        Err(_) => println!("# no BENCH_E19_BASELINE set; regression gate skipped"),
+    Gate {
+        id: "E19",
+        key: "twophase_commit_ms",
+        direction: Direction::Ceiling,
+        what: "two-phase rewrite commit",
+        label: "",
+        unit: " ms",
+        base_unit: " ms",
+        decimals: 2,
     }
+    .check(tp.commit_ms);
 }

@@ -31,6 +31,7 @@
 
 use std::collections::VecDeque;
 
+use zen_bench::gate::{Direction, Gate};
 use zen_core::apps::L2Learning;
 use zen_core::{CbenchConfig, CbenchMode, CbenchSwitch, Controller};
 use zen_sim::{Duration, Histogram, Instant, NodeId, World};
@@ -319,26 +320,8 @@ fn micro_decode(iters: u64) -> (f64, f64, usize) {
     (owned_ns, view_ns, wire.len())
 }
 
-/// Pull `"peak_setups_per_sec":<num>` out of a baseline JSON-lines
-/// file by hand (the workspace is serde-free on principle).
-fn baseline_peak(path: &str) -> Option<f64> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let line = text
-        .lines()
-        .find(|l| l.contains("\"type\":\"bench_summary\"") && l.contains("\"id\":\"E17\""))?;
-    let key = "\"peak_setups_per_sec\":";
-    let at = line.find(key)? + key.len();
-    let rest = &line[at..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
 fn main() {
     let quick = std::env::var("BENCH_E17_QUICK").is_ok_and(|v| v == "1");
-    let pct: f64 = std::env::var("BENCH_E17_PCT")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20.0);
     let target = target_setups(quick);
     let mut json = String::new();
 
@@ -458,28 +441,17 @@ fn main() {
 
     // Perf-regression gate: compare peak closed-loop setups/sec
     // against the committed baseline, if one is configured.
-    match std::env::var("BENCH_E17_BASELINE") {
-        Ok(path) => match baseline_peak(&path) {
-            Some(base) => {
-                let floor = base * (1.0 - pct / 100.0);
-                println!(
-                    "# baseline peak {base:.0} setups/s ({path}); floor {floor:.0}, measured {peak:.0}"
-                );
-                if peak < floor {
-                    eprintln!(
-                        "E17 REGRESSION: peak {peak:.0} setups/s is more than {pct}% below \
-                         baseline {base:.0} ({path})"
-                    );
-                    std::process::exit(1);
-                }
-            }
-            None => {
-                eprintln!("E17: baseline {path} missing or unparsable; failing the gate");
-                std::process::exit(1);
-            }
-        },
-        Err(_) => println!("# no BENCH_E17_BASELINE set; regression gate skipped"),
+    Gate {
+        id: "E17",
+        key: "peak_setups_per_sec",
+        direction: Direction::Floor,
+        what: "peak",
+        label: "peak ",
+        unit: " setups/s",
+        base_unit: "",
+        decimals: 0,
     }
+    .check(peak);
 
     // Shape: closed-loop capacity should not collapse as N grows —
     // the event loop serializes the work, so wall throughput stays

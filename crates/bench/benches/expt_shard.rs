@@ -23,6 +23,7 @@
 //! packets/sec regresses more than the configured percentage below it.
 //! `BENCH_E21_QUICK=1` selects the small topology for CI smoke lanes.
 
+use zen_bench::gate::{Direction, Gate};
 use zen_core::shard_fabric::{build_shard_fat_tree, ShardTrafficHost};
 use zen_sim::{Duration, Instant, LinkParams, ShardedWorld};
 use zen_telemetry::json::Line;
@@ -156,26 +157,8 @@ fn run(quick: bool, shards: usize) -> Outcome {
     }
 }
 
-/// Pull `"peak_pkts_per_sec":<num>` out of a baseline JSON-lines file
-/// by hand (the workspace is serde-free on principle).
-fn baseline_peak(path: &str) -> Option<f64> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let line = text
-        .lines()
-        .find(|l| l.contains("\"type\":\"bench_summary\"") && l.contains("\"id\":\"E21\""))?;
-    let key = "\"peak_pkts_per_sec\":";
-    let at = line.find(key)? + key.len();
-    let rest = &line[at..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
 fn main() {
     let quick = std::env::var("BENCH_E21_QUICK").is_ok_and(|v| v == "1");
-    let pct: f64 = std::env::var("BENCH_E21_PCT")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20.0);
     let k = arity(quick);
     let mut json = String::new();
 
@@ -253,28 +236,17 @@ fn main() {
     println!("# wrote {out_path}");
 
     // Perf-regression gate against the committed baseline, if set.
-    match std::env::var("BENCH_E21_BASELINE") {
-        Ok(path) => match baseline_peak(&path) {
-            Some(base) => {
-                let floor = base * (1.0 - pct / 100.0);
-                println!(
-                    "# baseline peak {base:.0} pkts/s ({path}); floor {floor:.0}, measured {peak:.0}"
-                );
-                if peak < floor {
-                    eprintln!(
-                        "E21 REGRESSION: peak {peak:.0} pkts/s is more than {pct}% below \
-                         baseline {base:.0} ({path})"
-                    );
-                    std::process::exit(1);
-                }
-            }
-            None => {
-                eprintln!("E21: baseline {path} missing or unparsable; failing the gate");
-                std::process::exit(1);
-            }
-        },
-        Err(_) => println!("# no BENCH_E21_BASELINE set; regression gate skipped"),
+    Gate {
+        id: "E21",
+        key: "peak_pkts_per_sec",
+        direction: Direction::Floor,
+        what: "peak",
+        label: "peak ",
+        unit: " pkts/s",
+        base_unit: "",
+        decimals: 0,
     }
+    .check(peak);
 
     // Shape: on the big fabric, sharding must actually pay — the best
     // multi-shard run beats single-shard. The quick topology is too

@@ -27,6 +27,7 @@
 //! defended innocent setups/sec regresses more than 20% below it.
 //! `BENCH_E18_QUICK=1` shrinks the cbench span for CI smoke lanes.
 
+use zen_bench::gate::{Direction, Gate};
 use zen_core::apps::L2Learning;
 use zen_core::harness::{default_host_ip, default_host_mac};
 use zen_core::{
@@ -359,26 +360,8 @@ fn run_storm(attack: bool, defended: bool, span: Duration) -> StormOutcome {
     }
 }
 
-/// Pull `"attack_defended_setups_per_sec":<num>` out of a baseline
-/// JSON-lines file by hand (the workspace is serde-free on principle).
-fn baseline_rate(path: &str) -> Option<f64> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let line = text
-        .lines()
-        .find(|l| l.contains("\"type\":\"bench_summary\"") && l.contains("\"id\":\"E18\""))?;
-    let key = "\"attack_defended_setups_per_sec\":";
-    let at = line.find(key)? + key.len();
-    let rest = &line[at..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
 fn main() {
     let quick = std::env::var("BENCH_E18_QUICK").is_ok_and(|v| v == "1");
-    let pct: f64 = std::env::var("BENCH_E18_PCT")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20.0);
     let mut json = String::new();
 
     println!("# E18 — storm survival (hostile workloads vs control-plane self-defense)");
@@ -537,26 +520,15 @@ fn main() {
 
     // Perf-regression gate: attack-mode defended innocent setups/sec
     // against the committed baseline, if one is configured.
-    match std::env::var("BENCH_E18_BASELINE") {
-        Ok(path) => match baseline_rate(&path) {
-            Some(base) => {
-                let floor = base * (1.0 - pct / 100.0);
-                println!(
-                    "# baseline {base:.0} setups/s ({path}); floor {floor:.0}, measured {rate:.0}"
-                );
-                if rate < floor {
-                    eprintln!(
-                        "E18 REGRESSION: attack-mode defended innocent rate {rate:.0} setups/s \
-                         is more than {pct}% below baseline {base:.0} ({path})"
-                    );
-                    std::process::exit(1);
-                }
-            }
-            None => {
-                eprintln!("E18: baseline {path} missing or unparsable; failing the gate");
-                std::process::exit(1);
-            }
-        },
-        Err(_) => println!("# no BENCH_E18_BASELINE set; regression gate skipped"),
+    Gate {
+        id: "E18",
+        key: "attack_defended_setups_per_sec",
+        direction: Direction::Floor,
+        what: "attack-mode defended innocent rate",
+        label: "",
+        unit: " setups/s",
+        base_unit: "",
+        decimals: 0,
     }
+    .check(rate);
 }

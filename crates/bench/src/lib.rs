@@ -168,3 +168,125 @@ pub mod util {
             .join("  ")
     }
 }
+
+/// The perf-regression gate shared by the experiment benches: compare
+/// one `bench_summary` metric against a committed baseline
+/// (`ci/BENCH_<ID>.baseline.json`, see `ci/bench_gate.sh`) and exit
+/// non-zero past the allowed regression.
+///
+/// `BENCH_<ID>_BASELINE` names the baseline file (unset: the gate is
+/// skipped); `BENCH_<ID>_PCT` is the allowed regression in percent
+/// (default 20).
+pub mod gate {
+    /// Which way a gated metric regresses.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum Direction {
+        /// Higher is better: fail below baseline × (1 − pct/100).
+        Floor,
+        /// Lower is better: fail above baseline × (1 + pct/100).
+        Ceiling,
+    }
+
+    /// One experiment's gated metric and the wording of its report.
+    #[derive(Debug, Clone, Copy)]
+    pub struct Gate {
+        /// Experiment id, e.g. `"E17"`.
+        pub id: &'static str,
+        /// The `bench_summary` field compared.
+        pub key: &'static str,
+        /// Which way the metric regresses.
+        pub direction: Direction,
+        /// What regressed, as the failure message names it.
+        pub what: &'static str,
+        /// Printed before the baseline on the status line (may be empty).
+        pub label: &'static str,
+        /// Printed after each value (may be empty).
+        pub unit: &'static str,
+        /// Printed after the baseline in the failure message.
+        pub base_unit: &'static str,
+        /// Decimal places printed.
+        pub decimals: usize,
+    }
+
+    impl Gate {
+        /// Gate `measured`: print the comparison, or that no baseline is
+        /// configured; exit 1 on a regression or an unreadable baseline.
+        pub fn check(&self, measured: f64) {
+            let id = self.id;
+            let Ok(path) = std::env::var(format!("BENCH_{id}_BASELINE")) else {
+                println!("# no BENCH_{id}_BASELINE set; regression gate skipped");
+                return;
+            };
+            let pct: f64 = std::env::var(format!("BENCH_{id}_PCT"))
+                .ok()
+                .and_then(|v| v.parse().ok())
+                .unwrap_or(20.0);
+            let Some(base) = baseline(&path, id, self.key) else {
+                eprintln!("{id}: baseline {path} missing or unparsable; failing the gate");
+                std::process::exit(1);
+            };
+            let (name, bound, regressed, way) = match self.direction {
+                Direction::Floor => {
+                    let floor = base * (1.0 - pct / 100.0);
+                    ("floor", floor, measured < floor, "below")
+                }
+                Direction::Ceiling => {
+                    let ceiling = base * (1.0 + pct / 100.0);
+                    ("ceiling", ceiling, measured > ceiling, "above")
+                }
+            };
+            let (d, label, unit) = (self.decimals, self.label, self.unit);
+            println!(
+                "# baseline {label}{base:.d$}{unit} ({path}); {name} {bound:.d$}, \
+                 measured {measured:.d$}"
+            );
+            if regressed {
+                eprintln!(
+                    "{id} REGRESSION: {} {measured:.d$}{unit} is more than {pct}% {way} \
+                     baseline {base:.d$}{} ({path})",
+                    self.what, self.base_unit
+                );
+                std::process::exit(1);
+            }
+        }
+    }
+
+    /// The `key` field of experiment `id`'s `bench_summary` line in the
+    /// JSON-lines file at `path`, parsed by hand (the workspace is
+    /// serde-free on principle).
+    pub fn baseline(path: &str, id: &str, key: &str) -> Option<f64> {
+        let text = std::fs::read_to_string(path).ok()?;
+        let tag = format!("\"id\":\"{id}\"");
+        let line = text
+            .lines()
+            .find(|l| l.contains("\"type\":\"bench_summary\"") && l.contains(&tag))?;
+        let key = format!("\"{key}\":");
+        let rest = &line[line.find(&key)? + key.len()..];
+        let end = rest.find([',', '}']).unwrap_or(rest.len());
+        rest[..end].trim().parse().ok()
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+
+        #[test]
+        fn baseline_reads_the_summary_field_of_its_experiment() {
+            let path = std::env::temp_dir().join(format!("zen-gate-{}.json", std::process::id()));
+            std::fs::write(
+                &path,
+                "{\"type\":\"row\",\"id\":\"E17\",\"peak\":1}\n\
+                 {\"type\":\"bench_summary\",\"id\":\"E18\",\"peak\":2}\n\
+                 {\"type\":\"bench_summary\",\"id\":\"E17\",\"quick\":true,\"peak\":3.5}\n",
+            )
+            .unwrap();
+            let path = path.to_str().unwrap();
+            assert_eq!(baseline(path, "E17", "peak"), Some(3.5));
+            assert_eq!(baseline(path, "E18", "peak"), Some(2.0));
+            assert_eq!(baseline(path, "E17", "missing"), None);
+            assert_eq!(baseline(path, "E19", "peak"), None);
+            assert_eq!(baseline("/nonexistent/zen-gate.json", "E17", "peak"), None);
+            let _ = std::fs::remove_file(path);
+        }
+    }
+}

@@ -13,8 +13,8 @@ use zen_cluster::{Admit, ClusterConfig, EwStore, GossipMode, Membership};
 use zen_consensus::{fnv1a, fnv1a_fold, Applied, IntentReplica, Outbound, KEEP_TAIL};
 use zen_dataplane::{epoch_tag, Action, FlowMatch, FlowSpec, Meter, PortNo};
 use zen_proto::{
-    decode_view, encode, encode_packet_out, intent_entry_bytes, CookieCount, ErrorCode, FlowModCmd,
-    GroupModCmd, Intent, IntentEntry, Message, MessageView, MeterModCmd, Role, ViewEvent,
+    decode_view, encode, encode_packet_out, intent_entry_bytes, ErrorCode, FlowModCmd, GroupModCmd,
+    Intent, IntentEntry, Message, MessageView, Role, ViewEvent,
 };
 use zen_sim::{Context, Duration, Instant, Node, NodeId};
 use zen_telemetry::{control_trace, trace_id_for_frame, TraceEvent, TraceId};
@@ -22,6 +22,7 @@ use zen_wire::ethernet::{EtherType, Frame};
 use zen_wire::{arp, ipv4, lldp, EthernetAddress};
 
 use crate::app::{App, Disposition};
+use crate::session::{ShadowDelta, SouthboundSession};
 use crate::txn::{
     ActiveTxn, Consistency, FlowRole, NetworkUpdate, TxnPhase, UpdateOp, UpdatePlanner,
 };
@@ -335,16 +336,15 @@ impl AdmissionState {
     }
 }
 
-/// A flow/group/meter mod awaiting barrier acknowledgement.
-struct PendingMod {
-    node: NodeId,
-    dpid: Dpid,
-    /// The encoded frame (original xid), resent verbatim on timeout.
-    bytes: Vec<u8>,
-    /// The decoded form, applied to the cookie shadow once acked.
-    msg: Message,
-    sent_at: Instant,
-    retries: u32,
+/// Flight-record `event` at the current time (no-op while disabled).
+fn record(ctx: &Context<'_>, trace: TraceId, event: TraceEvent) {
+    ctx.recorder().record(ctx.now().as_nanos(), trace, event);
+}
+
+/// Send `msg` to `node` outside any transaction (xid 0), counting it.
+fn send_plain(ctx: &mut Context<'_>, stats: &mut CtlStats, node: NodeId, msg: &Message) {
+    stats.msgs_sent += 1;
+    ctx.send_control(node, encode(msg, 0));
 }
 
 /// The services handle passed to applications: the network view plus
@@ -354,11 +354,10 @@ pub struct Ctl<'a, 'w> {
     pub ctx: &'a mut Context<'w>,
     /// The controller's network view.
     pub view: &'a mut NetworkView,
-    registry: &'a BTreeMap<Dpid, NodeId>,
+    sessions: &'a mut BTreeMap<Dpid, SouthboundSession>,
+    flush_due: &'a mut bool,
     xid: &'a mut u32,
     stats: &'a mut CtlStats,
-    pending: &'a mut BTreeMap<u32, PendingMod>,
-    dirty: &'a mut BTreeSet<NodeId>,
     cluster: Option<&'a mut ClusterState>,
     planner: &'a mut UpdatePlanner,
     intent_owners: &'a mut BTreeMap<u64, &'static str>,
@@ -417,18 +416,21 @@ impl Ctl<'_, '_> {
     /// mods are idempotent by cookie, so a duplicate is harmless while a
     /// loss would silently diverge switch state from the controller's.
     pub fn send(&mut self, dpid: Dpid, msg: &Message) {
-        let Some(&node) = self.registry.get(&dpid) else {
-            return;
-        };
-        // Clustered: only the master programs a switch. Packet-outs and
-        // stats requests pass (Equal connections may inject and read).
-        if matches!(
+        let tracked = matches!(
             msg,
             Message::FlowMod { .. } | Message::GroupMod { .. } | Message::MeterMod { .. }
-        ) && !self.is_master(dpid)
-        {
+        );
+        // Clustered: only the master programs a switch. Packet-outs and
+        // stats requests pass (Equal connections may inject and read).
+        if tracked && !self.is_master(dpid) {
             return;
         }
+        let Some(session) = self.sessions.get_mut(&dpid) else {
+            return;
+        };
+        let Some(node) = session.node else {
+            return;
+        };
         let xid = *self.xid;
         *self.xid += 1;
         self.stats.msgs_sent += 1;
@@ -439,49 +441,30 @@ impl Ctl<'_, '_> {
             _ => {}
         }
         let bytes = encode(msg, xid);
-        if matches!(
-            msg,
-            Message::FlowMod { .. } | Message::GroupMod { .. } | Message::MeterMod { .. }
-        ) {
-            self.pending.insert(
-                xid,
-                PendingMod {
-                    node,
-                    dpid,
-                    bytes: bytes.clone(),
-                    msg: msg.clone(),
-                    sent_at: self.ctx.now(),
-                    retries: 0,
-                },
-            );
-            self.dirty.insert(node);
+        if tracked {
+            session.track(xid, bytes.clone(), ShadowDelta::of(msg), self.ctx.now());
+            *self.flush_due = true;
         }
-        {
-            // Flight recorder: attribute control messages sent while an
-            // app chain is processing a traced PACKET_IN.
-            let rec = self.ctx.recorder();
-            if rec.is_enabled() {
-                if let Some(trace) = rec.current_trace() {
-                    let at = self.ctx.now().as_nanos();
-                    match msg {
-                        Message::FlowMod { cmd, .. } => {
-                            let cookie = match cmd {
-                                FlowModCmd::Add(spec) => spec.cookie,
-                                FlowModCmd::DeleteByCookie { cookie } => *cookie,
-                                FlowModCmd::DeleteStrict { .. } => 0,
-                            };
-                            rec.record(at, trace, TraceEvent::FlowModSent { dpid, xid, cookie });
-                            rec.bind_xid(xid, trace);
-                        }
-                        Message::GroupMod { .. } | Message::MeterMod { .. } => {
-                            rec.bind_xid(xid, trace);
-                        }
-                        Message::PacketOut { .. } => {
-                            rec.record(at, trace, TraceEvent::PacketOutSent { dpid });
-                        }
-                        _ => {}
-                    }
+        // Flight recorder: attribute control messages sent while an app
+        // chain is processing a traced PACKET_IN.
+        let rec = self.ctx.recorder();
+        if let Some(trace) = rec.current_trace() {
+            let at = self.ctx.now().as_nanos();
+            match msg {
+                Message::FlowMod { cmd, .. } => {
+                    let cookie = match cmd {
+                        FlowModCmd::Add(spec) => spec.cookie,
+                        FlowModCmd::DeleteByCookie { cookie } => *cookie,
+                        FlowModCmd::DeleteStrict { .. } => 0,
+                    };
+                    rec.record(at, trace, TraceEvent::FlowModSent { dpid, xid, cookie });
+                    rec.bind_xid(xid, trace);
                 }
+                Message::GroupMod { .. } | Message::MeterMod { .. } => rec.bind_xid(xid, trace),
+                Message::PacketOut { .. } => {
+                    rec.record(at, trace, TraceEvent::PacketOutSent { dpid });
+                }
+                _ => {}
             }
         }
         self.ctx.send_control(node, bytes);
@@ -550,63 +533,7 @@ impl Ctl<'_, '_> {
     /// no special meaning outside a two-phase commit: they execute as
     /// plain deletes in staging order.
     fn send_op(&mut self, op: &UpdateOp) {
-        match op {
-            UpdateOp::Flow {
-                dpid,
-                table_id,
-                spec,
-                ..
-            } => self.send(
-                *dpid,
-                &Message::FlowMod {
-                    table_id: *table_id,
-                    cmd: FlowModCmd::Add(spec.clone()),
-                },
-            ),
-            UpdateOp::DeleteFlowsByCookie { dpid, cookie }
-            | UpdateOp::RetireFlowsByCookie { dpid, cookie } => self.send(
-                *dpid,
-                &Message::FlowMod {
-                    table_id: 0,
-                    cmd: FlowModCmd::DeleteByCookie { cookie: *cookie },
-                },
-            ),
-            UpdateOp::Group {
-                dpid,
-                group_id,
-                desc,
-            } => self.send(
-                *dpid,
-                &Message::GroupMod {
-                    group_id: *group_id,
-                    cmd: GroupModCmd::Add(desc.clone()),
-                },
-            ),
-            UpdateOp::DeleteGroup { dpid, group_id } | UpdateOp::RetireGroup { dpid, group_id } => {
-                self.send(
-                    *dpid,
-                    &Message::GroupMod {
-                        group_id: *group_id,
-                        cmd: GroupModCmd::Delete,
-                    },
-                )
-            }
-            UpdateOp::Meter {
-                dpid,
-                meter_id,
-                rate_bps,
-                burst_bytes,
-            } => self.send(
-                *dpid,
-                &Message::MeterMod {
-                    meter_id: *meter_id,
-                    cmd: MeterModCmd::Add {
-                        rate_bps: *rate_bps,
-                        burst_bytes: *burst_bytes,
-                    },
-                },
-            ),
-        }
+        self.send(op.dpid(), &op.message());
     }
 
     /// Delete all flows carrying `cookie` on a switch.
@@ -632,7 +559,7 @@ impl Ctl<'_, '_> {
         actions: &[zen_dataplane::Action],
         frame: &[u8],
     ) {
-        let Some(&node) = self.registry.get(&dpid) else {
+        let Some(node) = self.sessions.get(&dpid).and_then(|s| s.node) else {
             return;
         };
         let xid = *self.xid;
@@ -717,31 +644,16 @@ pub struct Controller {
     apps: Vec<Box<dyn App>>,
     /// The network view (public for post-run inspection).
     pub view: NetworkView,
-    registry: BTreeMap<Dpid, NodeId>,
-    rev_registry: BTreeMap<NodeId, Dpid>,
-    /// Last time anything was heard from each agent.
-    liveness: BTreeMap<NodeId, Instant>,
-    /// Unacked mods keyed by xid.
-    pending: BTreeMap<u32, PendingMod>,
-    /// Outstanding barriers: barrier xid → (node, covered mod xids).
-    barriers: BTreeMap<u32, (NodeId, Vec<u32>)>,
-    /// Nodes with newly pending mods, awaiting a covering barrier.
-    dirty: BTreeSet<NodeId>,
-    /// What we believe each switch has installed: cookie → entry count,
-    /// maintained from barrier-acked mods and FLOW_REMOVED notices, and
-    /// diffed against HELLO_RESYNC digests on reconnect.
-    shadow: BTreeMap<Dpid, BTreeMap<u64, u32>>,
-    /// Throttle: last RESYNC_REQUEST sent per quarantined switch.
-    resync_requested: BTreeMap<Dpid, Instant>,
+    /// One southbound session per switch, keyed by dpid.
+    sessions: BTreeMap<Dpid, SouthboundSession>,
+    /// Registered control-channel nodes → the switch each speaks for.
+    dpid_of: BTreeMap<NodeId, Dpid>,
+    /// Some session sent a mod since the last barrier flush (spares the
+    /// flush after every delivery a walk over every session).
+    flush_due: bool,
     /// Throttle: last FEATURES_REQUEST re-solicitation per unregistered
     /// node (the handshake itself can be lost on a faulty channel).
     features_requested: BTreeMap<NodeId, Instant>,
-    /// Switches whose next FEATURES_REPLY is a port-map refresh (sent
-    /// after takeovers and healed partitions), not a new handshake —
-    /// the reply updates the view and nothing else.
-    port_refresh: BTreeSet<Dpid>,
-    /// Latest generation each agent reported in HELLO_RESYNC.
-    agent_generations: BTreeMap<Dpid, u64>,
     /// Present when this controller is a replica in a cluster.
     cluster: Option<ClusterState>,
     /// Present when `cfg.admission` is set.
@@ -771,17 +683,10 @@ impl Controller {
             cfg,
             apps,
             view: NetworkView::new(),
-            registry: BTreeMap::new(),
-            rev_registry: BTreeMap::new(),
-            liveness: BTreeMap::new(),
-            pending: BTreeMap::new(),
-            barriers: BTreeMap::new(),
-            dirty: BTreeSet::new(),
-            shadow: BTreeMap::new(),
-            resync_requested: BTreeMap::new(),
+            sessions: BTreeMap::new(),
+            dpid_of: BTreeMap::new(),
+            flush_due: false,
             features_requested: BTreeMap::new(),
-            port_refresh: BTreeSet::new(),
-            agent_generations: BTreeMap::new(),
             cluster: None,
             admission: cfg.admission.map(AdmissionState::new),
             planner: UpdatePlanner::default(),
@@ -832,7 +737,7 @@ impl Controller {
     pub fn mastered(&self) -> Vec<Dpid> {
         match &self.cluster {
             Some(cl) => cl.my_masters.iter().copied().collect(),
-            None => self.registry.keys().copied().collect(),
+            None => self.registered().collect(),
         }
     }
 
@@ -857,12 +762,20 @@ impl Controller {
 
     /// Mods sent but not yet barrier-acknowledged.
     pub fn pending_mods(&self) -> usize {
-        self.pending.len()
+        self.sessions.values().map(|s| s.pending_len()).sum()
     }
 
     /// The latest HELLO_RESYNC generation reported by a switch.
     pub fn agent_generation(&self, dpid: Dpid) -> Option<u64> {
-        self.agent_generations.get(&dpid).copied()
+        self.sessions.get(&dpid).and_then(|s| s.generation)
+    }
+
+    /// The switches with a completed handshake, in dpid order.
+    fn registered(&self) -> impl Iterator<Item = Dpid> + '_ {
+        self.sessions
+            .iter()
+            .filter(|(_, s)| s.node.is_some())
+            .map(|(&dpid, _)| dpid)
     }
 
     /// Access an application by index (post-run inspection).
@@ -890,11 +803,10 @@ impl Controller {
             let mut ctl = Ctl {
                 ctx,
                 view: &mut self.view,
-                registry: &self.registry,
+                sessions: &mut self.sessions,
+                flush_due: &mut self.flush_due,
                 xid: &mut self.xid,
                 stats: &mut self.stats,
-                pending: &mut self.pending,
-                dirty: &mut self.dirty,
                 cluster: self.cluster.as_mut(),
                 planner: &mut self.planner,
                 intent_owners: &mut self.intent_owners,
@@ -905,34 +817,27 @@ impl Controller {
         self.apps = apps;
     }
 
+    /// Run `f` for every app, in chain order.
+    fn each_app(
+        &mut self,
+        ctx: &mut Context<'_>,
+        mut f: impl FnMut(&mut dyn App, &mut Ctl<'_, '_>),
+    ) {
+        self.with_apps(ctx, |apps, ctl| {
+            for app in apps.iter_mut() {
+                f(app.as_mut(), ctl);
+            }
+        });
+    }
+
     fn send_direct(&mut self, ctx: &mut Context<'_>, dpid: Dpid, msg: &Message) {
-        let Some(&node) = self.registry.get(&dpid) else {
+        let Some(node) = self.sessions.get(&dpid).and_then(|s| s.node) else {
             return;
         };
         let xid = self.xid;
         self.xid += 1;
         self.stats.msgs_sent += 1;
         ctx.send_control(node, encode(msg, xid));
-    }
-
-    /// Fold an acked mod into the cookie shadow for `dpid`.
-    ///
-    /// The shadow is an approximation — strict deletes and replacing
-    /// adds can drift it — but drift only ever causes a *dirty* resync
-    /// verdict, which reprograms the switch: safe, merely less frugal.
-    fn apply_to_shadow(&mut self, dpid: Dpid, msg: &Message) {
-        if let Message::FlowMod { cmd, .. } = msg {
-            let shadow = self.shadow.entry(dpid).or_default();
-            match cmd {
-                FlowModCmd::Add(spec) => {
-                    *shadow.entry(spec.cookie).or_insert(0) += 1;
-                }
-                FlowModCmd::DeleteByCookie { cookie } => {
-                    shadow.remove(cookie);
-                }
-                FlowModCmd::DeleteStrict { .. } => {}
-            }
-        }
     }
 
     /// Log a local view mutation into the east-west store for
@@ -944,16 +849,14 @@ impl Controller {
         }
     }
 
-    /// The current cookie shadow of `dpid` in wire form.
-    fn shadow_cookies(&self, dpid: Dpid) -> Vec<CookieCount> {
-        self.shadow
-            .get(&dpid)
-            .map(|m| {
-                m.iter()
-                    .map(|(&cookie, &count)| CookieCount { cookie, count })
-                    .collect()
-            })
-            .unwrap_or_default()
+    /// Replicate `dpid`'s cookie shadow east-west, so a standby that
+    /// later takes the switch over inherits an accurate one.
+    fn log_shadow(&mut self, dpid: Dpid) {
+        let (Some(_), Some(s)) = (&self.cluster, self.sessions.get(&dpid)) else {
+            return;
+        };
+        let cookies = s.shadow_cookies();
+        self.log_event(ViewEvent::ShadowSet { dpid, cookies });
     }
 
     /// Apply a replicated view mutation a peer observed first-hand.
@@ -986,8 +889,10 @@ impl Controller {
                 // Our own barrier acks are authoritative for switches we
                 // master; a peer's digest matters for a future takeover.
                 if !self.is_master_of(dpid) {
-                    self.shadow
-                        .insert(dpid, cookies.iter().map(|c| (c.cookie, c.count)).collect());
+                    self.sessions
+                        .entry(dpid)
+                        .or_insert_with(|| SouthboundSession::new(None, now))
+                        .set_shadow(cookies.iter().map(|c| (c.cookie, c.count)).collect());
                 }
             }
             ViewEvent::ProgramStamp { dpid, cookie, hash } => {
@@ -1050,18 +955,12 @@ impl Controller {
                 let Some(&node) = cl.membership.config().replicas.get(replica as usize) else {
                     return;
                 };
-                self.stats.msgs_sent += 1;
                 self.stats.ew_fetches_sent += 1;
-                ctx.send_control(
-                    node,
-                    encode(
-                        &Message::EwFetch {
-                            replica: me,
-                            ranges,
-                        },
-                        0,
-                    ),
-                );
+                let msg = Message::EwFetch {
+                    replica: me,
+                    ranges,
+                };
+                send_plain(ctx, &mut self.stats, node, &msg);
             }
             Message::EwFetch { replica, ranges } => {
                 let Some(cl) = self.cluster.as_mut() else {
@@ -1074,34 +973,22 @@ impl Controller {
                 let (entries, want_snapshot) = cl.store.serve_ranges(&ranges);
                 if want_snapshot {
                     let (heads, snap_entries, checksum) = cl.store.snapshot();
-                    self.stats.msgs_sent += 1;
                     self.stats.ew_snapshots_sent += 1;
-                    ctx.send_control(
-                        node,
-                        encode(
-                            &Message::EwSnapshot {
-                                replica: me,
-                                heads,
-                                entries: snap_entries,
-                                checksum,
-                            },
-                            0,
-                        ),
-                    );
+                    let msg = Message::EwSnapshot {
+                        replica: me,
+                        heads,
+                        entries: snap_entries,
+                        checksum,
+                    };
+                    send_plain(ctx, &mut self.stats, node, &msg);
                 }
                 for chunk in entries.chunks(EW_BATCH) {
-                    self.stats.msgs_sent += 1;
                     self.stats.ew_entries_sent += chunk.len() as u64;
-                    ctx.send_control(
-                        node,
-                        encode(
-                            &Message::EwEvents {
-                                replica: me,
-                                entries: chunk.to_vec(),
-                            },
-                            0,
-                        ),
-                    );
+                    let msg = Message::EwEvents {
+                        replica: me,
+                        entries: chunk.to_vec(),
+                    };
+                    send_plain(ctx, &mut self.stats, node, &msg);
                 }
             }
             Message::EwSnapshot {
@@ -1122,19 +1009,11 @@ impl Controller {
                     return;
                 };
                 self.stats.ew_snapshots_installed += 1;
-                {
-                    let rec = ctx.recorder();
-                    if rec.is_enabled() {
-                        rec.record(
-                            now.as_nanos(),
-                            control_trace(0),
-                            TraceEvent::EwSnapshotInstalled {
-                                from_replica: replica,
-                                entries: carried,
-                            },
-                        );
-                    }
-                }
+                let event = TraceEvent::EwSnapshotInstalled {
+                    from_replica: replica,
+                    entries: carried,
+                };
+                record(ctx, control_trace(0), event);
                 for e in to_apply {
                     self.stats.ew_events_applied += 1;
                     self.apply_view_event(e.event, now);
@@ -1233,9 +1112,8 @@ impl Controller {
             let Some(&node) = replicas.get(out.to as usize) else {
                 continue;
             };
-            self.stats.msgs_sent += 1;
             self.stats.intent_msgs_sent += 1;
-            ctx.send_control(node, encode(&out.msg, 0));
+            send_plain(ctx, &mut self.stats, node, &out.msg);
         }
     }
 
@@ -1299,18 +1177,10 @@ impl Controller {
                 }
             }
         }
-        {
-            let rec = ctx.recorder();
-            if rec.is_enabled() {
-                rec.record(
-                    ctx.now().as_nanos(),
-                    control_trace(0),
-                    TraceEvent::IntentSnapshotInstalled {
-                        entries: entries.len() as u64,
-                    },
-                );
-            }
-        }
+        let event = TraceEvent::IntentSnapshotInstalled {
+            entries: entries.len() as u64,
+        };
+        record(ctx, control_trace(0), event);
         // Proposals of ours that committed while we were away complete
         // their owner callbacks now.
         let own_tokens: Vec<u64> = entries
@@ -1319,38 +1189,22 @@ impl Controller {
             .map(|e| e.token)
             .collect();
         let intents: Vec<Intent> = entries.into_iter().map(|e| e.intent).collect();
-        self.with_apps(ctx, |apps, ctl| {
-            for app in apps.iter_mut() {
-                app.on_intent_snapshot(ctl, &intents);
-            }
-        });
+        self.each_app(ctx, |app, ctl| app.on_intent_snapshot(ctl, &intents));
         for token in own_tokens {
             if let Some(owner) = self.intent_owners.remove(&token) {
-                self.with_apps(ctx, |apps, ctl| {
-                    for app in apps.iter_mut() {
-                        app.on_update_committed(ctl, owner, token);
-                    }
-                });
+                self.each_app(ctx, |app, ctl| app.on_update_committed(ctl, owner, token));
             }
         }
     }
 
     fn apply_committed_intent(&mut self, ctx: &mut Context<'_>, e: IntentEntry, me: Option<u32>) {
         self.stats.intents_committed += 1;
-        {
-            let rec = ctx.recorder();
-            if rec.is_enabled() {
-                rec.record(
-                    ctx.now().as_nanos(),
-                    control_trace(0),
-                    TraceEvent::IntentCommitted {
-                        index: e.index,
-                        term: e.term,
-                        origin: e.origin,
-                    },
-                );
-            }
-        }
+        let event = TraceEvent::IntentCommitted {
+            index: e.index,
+            term: e.term,
+            origin: e.origin,
+        };
+        record(ctx, control_trace(0), event);
         if let Intent::MastershipPin {
             dpid,
             replica,
@@ -1369,20 +1223,12 @@ impl Controller {
             return; // leader activation barrier, invisible to apps
         }
         let intent = e.intent;
-        self.with_apps(ctx, |apps, ctl| {
-            for app in apps.iter_mut() {
-                app.on_intent_committed(ctl, &intent);
-            }
-        });
+        self.each_app(ctx, |app, ctl| app.on_intent_committed(ctl, &intent));
         // The proposing replica also completes the owner's
         // update-committed callback, mirroring the two-phase planner.
         if me.is_none_or(|m| m == e.origin) {
             if let Some(owner) = self.intent_owners.remove(&e.token) {
-                self.with_apps(ctx, |apps, ctl| {
-                    for app in apps.iter_mut() {
-                        app.on_update_committed(ctl, owner, e.token);
-                    }
-                });
+                self.each_app(ctx, |app, ctl| app.on_update_committed(ctl, owner, e.token));
             }
         }
     }
@@ -1392,18 +1238,12 @@ impl Controller {
             return;
         };
         let replica = cl.membership.index() as u32;
-        let rec = ctx.recorder();
-        if rec.is_enabled() {
-            rec.record(
-                ctx.now().as_nanos(),
-                control_trace(dpid),
-                TraceEvent::MastershipChange {
-                    dpid,
-                    replica,
-                    gained,
-                },
-            );
-        }
+        let event = TraceEvent::MastershipChange {
+            dpid,
+            replica,
+            gained,
+        };
+        record(ctx, control_trace(dpid), event);
     }
 
     /// Take over `dpid`: claim the Master role at the switch, give its
@@ -1434,14 +1274,9 @@ impl Controller {
         // "down" port, so a stale entry would silence the LLDP
         // confirmations for its links and age them out cluster-wide.
         // The features reply replaces the port map wholesale.
-        self.port_refresh.insert(dpid);
-        self.send_direct(ctx, dpid, &Message::FeaturesRequest);
+        self.request_port_refresh(ctx, dpid);
         self.note_mastership_trace(ctx, dpid, true);
-        self.with_apps(ctx, |apps, ctl| {
-            for app in apps.iter_mut() {
-                app.on_mastership_change(ctl, dpid, true);
-            }
-        });
+        self.each_app(ctx, |app, ctl| app.on_mastership_change(ctl, dpid, true));
     }
 
     /// Relinquish `dpid`. In-flight mods were issued under the lapsed
@@ -1466,23 +1301,9 @@ impl Controller {
                 },
             );
         }
-        let superseded: Vec<u32> = self
-            .pending
-            .iter()
-            .filter(|(_, p)| p.dpid == dpid)
-            .map(|(&x, _)| x)
-            .collect();
-        for x in superseded {
-            self.pending.remove(&x);
-            self.stats.mods_superseded += 1;
-            self.planner.note_xid(x, false);
-        }
+        self.supersede_pending(dpid);
         self.note_mastership_trace(ctx, dpid, false);
-        self.with_apps(ctx, |apps, ctl| {
-            for app in apps.iter_mut() {
-                app.on_mastership_change(ctl, dpid, false);
-            }
-        });
+        self.each_app(ctx, |app, ctl| app.on_mastership_change(ctl, dpid, false));
     }
 
     /// One east-west round: refresh peer liveness, heartbeat + gossip to
@@ -1524,19 +1345,13 @@ impl Controller {
             if i == me {
                 continue;
             }
-            self.stats.msgs_sent += 1;
             self.stats.ew_heartbeats += 1;
-            ctx.send_control(
-                node,
-                encode(
-                    &Message::EwHeartbeat {
-                        replica: me32,
-                        term,
-                        acks: acks.clone(),
-                    },
-                    0,
-                ),
-            );
+            let msg = Message::EwHeartbeat {
+                replica: me32,
+                term,
+                acks: acks.clone(),
+            };
+            send_plain(ctx, &mut self.stats, node, &msg);
             match gossip {
                 GossipMode::Suffix => {
                     if cl.membership.is_alive(i)
@@ -1547,36 +1362,24 @@ impl Controller {
                         // suffix replay can reach it. Bootstrap it from
                         // a checksummed snapshot, as digest mode would.
                         let (heads, entries, checksum) = cl.store.snapshot();
-                        self.stats.msgs_sent += 1;
                         self.stats.ew_snapshots_sent += 1;
-                        ctx.send_control(
-                            node,
-                            encode(
-                                &Message::EwSnapshot {
-                                    replica: me32,
-                                    heads,
-                                    entries,
-                                    checksum,
-                                },
-                                0,
-                            ),
-                        );
+                        let msg = Message::EwSnapshot {
+                            replica: me32,
+                            heads,
+                            entries,
+                            checksum,
+                        };
+                        send_plain(ctx, &mut self.stats, node, &msg);
                         continue;
                     }
                     let batch = cl.store.pending_for(i as u32, EW_BATCH);
                     if !batch.is_empty() {
-                        self.stats.msgs_sent += 1;
                         self.stats.ew_entries_sent += batch.len() as u64;
-                        ctx.send_control(
-                            node,
-                            encode(
-                                &Message::EwEvents {
-                                    replica: me32,
-                                    entries: batch,
-                                },
-                                0,
-                            ),
-                        );
+                        let msg = Message::EwEvents {
+                            replica: me32,
+                            entries: batch,
+                        };
+                        send_plain(ctx, &mut self.stats, node, &msg);
                     }
                 }
                 GossipMode::Digest => {
@@ -1587,34 +1390,22 @@ impl Controller {
                         let hi = head.min(lo + EW_BATCH as u64 - 1);
                         let (batch, _) = cl.store.serve_ranges(&[(me32, lo, hi)]);
                         if !batch.is_empty() {
-                            self.stats.msgs_sent += 1;
                             self.stats.ew_entries_sent += batch.len() as u64;
-                            ctx.send_control(
-                                node,
-                                encode(
-                                    &Message::EwEvents {
-                                        replica: me32,
-                                        entries: batch,
-                                    },
-                                    0,
-                                ),
-                            );
+                            let msg = Message::EwEvents {
+                                replica: me32,
+                                entries: batch,
+                            };
+                            send_plain(ctx, &mut self.stats, node, &msg);
                         }
                         *pushed = hi;
                     }
-                    self.stats.msgs_sent += 1;
                     self.stats.ew_digests_sent += 1;
-                    ctx.send_control(
-                        node,
-                        encode(
-                            &Message::EwDigest {
-                                replica: me32,
-                                term,
-                                heads: cl.store.digest(),
-                            },
-                            0,
-                        ),
-                    );
+                    let msg = Message::EwDigest {
+                        replica: me32,
+                        term,
+                        heads: cl.store.digest(),
+                    };
+                    send_plain(ctx, &mut self.stats, node, &msg);
                 }
             }
         }
@@ -1634,9 +1425,7 @@ impl Controller {
         // assignment reasserts itself).
         cl.deferred.retain(|_, o| *o >= claim);
         let desired: BTreeSet<Dpid> = self
-            .registry
-            .keys()
-            .copied()
+            .registered()
             .filter(|&d| cl.wants_mastership(d) && !cl.deferred.contains_key(&d))
             .collect();
         let gained: Vec<Dpid> = desired.difference(&cl.my_masters).copied().collect();
@@ -1655,8 +1444,7 @@ impl Controller {
         self.cluster = Some(cl);
 
         for &dpid in &refresh {
-            self.port_refresh.insert(dpid);
-            self.send_direct(ctx, dpid, &Message::FeaturesRequest);
+            self.request_port_refresh(ctx, dpid);
         }
         self.send_intent_outs(ctx, intent_outs);
         self.dispatch_committed_intents(ctx);
@@ -1673,11 +1461,10 @@ impl Controller {
     fn quarantine_scan(&mut self, ctx: &mut Context<'_>) {
         let now = ctx.now();
         let stale: Vec<Dpid> = self
-            .registry
+            .sessions
             .iter()
-            .filter(|&(_, node)| {
-                let last = self.liveness.get(node).copied().unwrap_or(now);
-                now.duration_since(last) >= self.cfg.agent_dead_after
+            .filter(|(_, s)| {
+                s.node.is_some() && now.duration_since(s.last_heard) >= self.cfg.agent_dead_after
             })
             .map(|(&dpid, _)| dpid)
             .collect();
@@ -1688,102 +1475,80 @@ impl Controller {
         }
     }
 
-    /// Resend unacked mods past their timeout; abandon ones out of
-    /// retries. Mods to quarantined switches wait (the resync handshake
-    /// decides their fate when the switch returns).
+    /// Resend unacked mods past their timeout, in xid order across all
+    /// switches; abandon ones out of retries. Mods to quarantined
+    /// switches wait (the resync handshake decides their fate when the
+    /// switch returns).
     fn retransmit_scan(&mut self, ctx: &mut Context<'_>) {
         let now = ctx.now();
-        let mut failed = Vec::new();
-        let mut resend = Vec::new();
-        for (&xid, p) in &self.pending {
-            if now.duration_since(p.sent_at) < self.cfg.mod_timeout
-                || self.view.is_quarantined(p.dpid)
-            {
+        let mut resend: Vec<(u32, Dpid)> = Vec::new();
+        for (&dpid, s) in &mut self.sessions {
+            if !self.view.is_quarantined(dpid) {
+                let (failed, due) = s.overdue(now, self.cfg.mod_timeout, self.cfg.mod_max_retries);
+                for xid in failed {
+                    self.stats.mods_failed += 1;
+                    self.planner.note_xid(xid, false);
+                }
+                resend.extend(due.into_iter().map(|xid| (xid, dpid)));
+            }
+            s.drop_dead_barriers();
+        }
+        resend.sort_unstable();
+        for (xid, dpid) in resend {
+            let s = self.sessions.get_mut(&dpid).expect("collected above");
+            let (Some(node), Some(bytes)) = (s.node, s.resend(xid, now)) else {
                 continue;
-            }
-            if p.retries >= self.cfg.mod_max_retries {
-                failed.push(xid);
-            } else {
-                resend.push(xid);
-            }
-        }
-        for xid in failed {
-            self.pending.remove(&xid);
-            self.stats.mods_failed += 1;
-            self.planner.note_xid(xid, false);
-        }
-        for xid in resend {
-            let p = self.pending.get_mut(&xid).expect("collected above");
-            p.retries += 1;
-            p.sent_at = now;
-            let (node, bytes) = (p.node, p.bytes.clone());
+            };
             self.stats.mods_retransmitted += 1;
             self.stats.msgs_sent += 1;
+            self.flush_due = true;
             ctx.send_control(node, bytes);
-            self.dirty.insert(node);
-        }
-        // Drop barriers whose covered mods are all resolved; a reply to
-        // one would find nothing to ack anyway.
-        let dead: Vec<u32> = self
-            .barriers
-            .iter()
-            .filter(|(_, (_, xids))| !xids.iter().any(|x| self.pending.contains_key(x)))
-            .map(|(&b, _)| b)
-            .collect();
-        for b in dead {
-            self.barriers.remove(&b);
         }
     }
 
-    /// Fence every node that acquired pending mods since the last flush:
-    /// one BARRIER_REQUEST covering all its currently unacked mods. The
-    /// reply proves everything before it was applied.
+    /// Fence every switch that acquired pending mods since the last
+    /// flush, in node order: one BARRIER_REQUEST covering all its
+    /// currently unacked mods.
     fn flush_barriers(&mut self, ctx: &mut Context<'_>) {
-        let dirty = std::mem::take(&mut self.dirty);
-        for node in dirty {
-            let covered: Vec<u32> = self
-                .pending
-                .iter()
-                .filter(|(_, p)| p.node == node)
-                .map(|(&x, _)| x)
-                .collect();
-            if covered.is_empty() {
+        if !std::mem::take(&mut self.flush_due) {
+            return;
+        }
+        for (&node, dpid) in &self.dpid_of {
+            let Some(s) = self.sessions.get_mut(dpid) else {
                 continue;
+            };
+            if let Some(bytes) = s.flush_barrier(&mut self.xid) {
+                self.stats.msgs_sent += 1;
+                ctx.send_control(node, bytes);
             }
-            let xid = self.xid;
-            self.xid += 1;
-            self.stats.msgs_sent += 1;
-            ctx.send_control(
-                node,
-                encode(
-                    &Message::BarrierRequest {
-                        xids: covered.clone(),
-                    },
-                    xid,
-                ),
-            );
-            self.barriers.insert(xid, (node, covered));
         }
     }
 
-    /// Ask a quarantined switch that spoke to us for its state digest,
-    /// at most once per tick interval.
-    fn maybe_request_resync(&mut self, ctx: &mut Context<'_>, dpid: Dpid) {
-        let now = ctx.now();
-        if let Some(&last) = self.resync_requested.get(&dpid) {
-            if now.duration_since(last) < self.cfg.tick_interval {
-                return;
-            }
+    /// Drop every pending mod of `dpid`: they were computed against a
+    /// world a resync or a mastership change has replaced.
+    fn supersede_pending(&mut self, dpid: Dpid) {
+        let Some(s) = self.sessions.get_mut(&dpid) else {
+            return;
+        };
+        for xid in s.supersede_all() {
+            self.stats.mods_superseded += 1;
+            self.planner.note_xid(xid, false);
         }
-        self.resync_requested.insert(dpid, now);
-        self.send_direct(ctx, dpid, &Message::ResyncRequest);
+    }
+
+    /// Re-solicit `dpid`'s port map; the reply refreshes the view only.
+    fn request_port_refresh(&mut self, ctx: &mut Context<'_>, dpid: Dpid) {
+        if let Some(s) = self.sessions.get_mut(&dpid) {
+            s.port_refresh = true;
+        }
+        self.send_direct(ctx, dpid, &Message::FeaturesRequest);
     }
 
     /// Probe every registered agent's control-channel liveness with an
     /// ECHO_REQUEST (the token encodes the send time, so a reply dates
     /// the probe it answers).
     fn echo_round(&mut self, ctx: &mut Context<'_>) {
-        let targets: Vec<Dpid> = self.registry.keys().copied().collect();
+        let targets: Vec<Dpid> = self.registered().collect();
         let token = ctx.now().as_nanos();
         for dpid in targets {
             self.stats.echo_probes += 1;
@@ -1903,32 +1668,10 @@ impl Controller {
         from: NodeId,
         punts: &[(PortNo, &[u8])],
     ) {
-        // Session preamble, once per batch. Peer replicas never punt;
-        // drop rather than re-solicit a handshake from one.
-        if self.cluster.as_ref().is_some_and(|cl| {
-            cl.membership
-                .config()
-                .index_of(from)
-                .is_some_and(|i| i != cl.membership.index())
-        }) {
-            return;
-        }
-        let Some(&dpid) = self.rev_registry.get(&from) else {
-            let now = ctx.now();
-            let due = self
-                .features_requested
-                .get(&from)
-                .is_none_or(|&last| now.duration_since(last) >= self.cfg.tick_interval);
-            if due {
-                self.features_requested.insert(from, now);
-                self.stats.msgs_sent += 1;
-                ctx.send_control(from, encode(&Message::FeaturesRequest, 0));
-            }
+        // Session preamble, once per batch.
+        let Some(dpid) = self.session_preamble(ctx, from, None) else {
             return;
         };
-        if self.view.is_quarantined(dpid) {
-            self.maybe_request_resync(ctx, dpid);
-        }
         // Admission control: charge the per-switch punt budget before
         // anything downstream costs a cycle. Over-budget punts are
         // deferred to this switch's fair queue; queue overflow is shed
@@ -2103,13 +1846,11 @@ impl Controller {
                 .metrics()
                 .register_counter("defense.pushbacks_installed");
             ctx.metrics().incr(cid);
-            if ctx.recorder().is_enabled() {
-                ctx.recorder().record(
-                    now.as_nanos(),
-                    control_trace(dpid),
-                    TraceEvent::PushbackInstalled { dpid, port },
-                );
-            }
+            record(
+                ctx,
+                control_trace(dpid),
+                TraceEvent::PushbackInstalled { dpid, port },
+            );
             let spec = FlowSpec::new(
                 PUSHBACK_PRIORITY,
                 FlowMatch {
@@ -2225,11 +1966,7 @@ impl Controller {
                     planner.config_epoch = epoch;
                     self.planner.config_epoch = epoch;
                     self.stats.txns_committed += 1;
-                    self.with_apps(ctx, |apps, ctl| {
-                        for app in apps.iter_mut() {
-                            app.on_update_committed(ctl, owner, token);
-                        }
-                    });
+                    self.each_app(ctx, |app, ctl| app.on_update_committed(ctl, owner, token));
                     continue;
                 }
                 TxnPhase::Retiring => {
@@ -2270,97 +2007,41 @@ impl Controller {
         let mut staged_cookies = BTreeSet::new();
         let mut staged_groups = BTreeSet::new();
         for op in update.ops {
+            let dpid = op.dpid();
             match op {
                 UpdateOp::Flow {
-                    dpid,
                     table_id,
                     mut spec,
                     role,
-                } => match role {
-                    FlowRole::Edge => {
+                    ..
+                } => {
+                    match role {
                         // The flip: the rule starts stamping the new
                         // epoch the moment it replaces its predecessor
                         // (same priority + match).
-                        spec.actions.insert(0, Action::SetEpoch(tag));
-                        flip_msgs.push((
-                            dpid,
-                            Message::FlowMod {
-                                table_id,
-                                cmd: FlowModCmd::Add(spec),
-                            },
-                        ));
+                        FlowRole::Edge => spec.actions.insert(0, Action::SetEpoch(tag)),
+                        FlowRole::Internal => spec.matcher.epoch = Some(Some(tag)),
+                        FlowRole::Plain => {}
                     }
-                    FlowRole::Internal | FlowRole::Plain => {
-                        if role == FlowRole::Internal {
-                            spec.matcher.epoch = Some(Some(tag));
-                        }
+                    if role != FlowRole::Edge {
                         staged_cookies.insert((dpid, spec.cookie));
-                        stage_msgs.push((
-                            dpid,
-                            Message::FlowMod {
-                                table_id,
-                                cmd: FlowModCmd::Add(spec),
-                            },
-                        ));
                     }
-                },
-                UpdateOp::DeleteFlowsByCookie { dpid, cookie } => stage_msgs.push((
-                    dpid,
-                    Message::FlowMod {
-                        table_id: 0,
-                        cmd: FlowModCmd::DeleteByCookie { cookie },
-                    },
-                )),
-                UpdateOp::Group {
-                    dpid,
-                    group_id,
-                    desc,
-                } => {
-                    staged_groups.insert((dpid, group_id));
-                    stage_msgs.push((
-                        dpid,
-                        Message::GroupMod {
-                            group_id,
-                            cmd: GroupModCmd::Add(desc),
-                        },
-                    ));
+                    let cmd = FlowModCmd::Add(spec);
+                    let msg = Message::FlowMod { table_id, cmd };
+                    match role {
+                        FlowRole::Edge => flip_msgs.push((dpid, msg)),
+                        _ => stage_msgs.push((dpid, msg)),
+                    }
                 }
-                UpdateOp::DeleteGroup { dpid, group_id } => stage_msgs.push((
-                    dpid,
-                    Message::GroupMod {
-                        group_id,
-                        cmd: GroupModCmd::Delete,
-                    },
-                )),
-                UpdateOp::Meter {
-                    dpid,
-                    meter_id,
-                    rate_bps,
-                    burst_bytes,
-                } => stage_msgs.push((
-                    dpid,
-                    Message::MeterMod {
-                        meter_id,
-                        cmd: MeterModCmd::Add {
-                            rate_bps,
-                            burst_bytes,
-                        },
-                    },
-                )),
-                UpdateOp::RetireFlowsByCookie { dpid, cookie } => retire_msgs.push((
-                    dpid,
-                    Message::FlowMod {
-                        table_id: 0,
-                        cmd: FlowModCmd::DeleteByCookie { cookie },
-                    },
-                )),
-                UpdateOp::RetireGroup { dpid, group_id } => retire_msgs.push((
-                    dpid,
-                    Message::GroupMod {
-                        group_id,
-                        cmd: GroupModCmd::Delete,
-                    },
-                )),
+                UpdateOp::RetireFlowsByCookie { .. } | UpdateOp::RetireGroup { .. } => {
+                    retire_msgs.push((dpid, op.message()))
+                }
+                _ => {
+                    if let UpdateOp::Group { group_id, .. } = op {
+                        staged_groups.insert((dpid, group_id));
+                    }
+                    stage_msgs.push((dpid, op.message()));
+                }
             }
         }
         self.record_epoch_phase(ctx, epoch, TxnPhase::Staging.name());
@@ -2430,25 +2111,19 @@ impl Controller {
         }
         let mut scratch = BTreeSet::new();
         self.send_tracked_batch(ctx, &deletes, &mut scratch);
-        self.with_apps(ctx, |apps, ctl| {
-            for app in apps.iter_mut() {
-                app.on_update_aborted(ctl, txn.owner, txn.token);
-            }
+        self.each_app(ctx, |app, ctl| {
+            app.on_update_aborted(ctl, txn.owner, txn.token)
         });
     }
 
     /// Flight-record a two-phase transaction phase transition on the
     /// network-wide control timeline.
     fn record_epoch_phase(&mut self, ctx: &mut Context<'_>, epoch: u64, phase: &'static str) {
-        let now = ctx.now();
-        let rec = ctx.recorder();
-        if rec.is_enabled() {
-            rec.record(
-                now.as_nanos(),
-                control_trace(0),
-                TraceEvent::EpochPhase { epoch, phase },
-            );
-        }
+        record(
+            ctx,
+            control_trace(0),
+            TraceEvent::EpochPhase { epoch, phase },
+        );
     }
 
     /// Release deferred punts, one per switch per round (round-robin
@@ -2505,7 +2180,7 @@ impl Controller {
             None => return,
         };
         for (node, in_port, frame) in drained {
-            let Some(&dpid) = self.rev_registry.get(&node) else {
+            let Some(&dpid) = self.dpid_of.get(&node) else {
                 continue;
             };
             self.stats.punts_drained += 1;
@@ -2514,67 +2189,96 @@ impl Controller {
         }
     }
 
-    fn handle_message(&mut self, ctx: &mut Context<'_>, from: NodeId, msg: Message, xid: u32) {
-        // East-west traffic from a peer replica bypasses the switch-
-        // session machinery below (quarantine, handshake re-solicit).
-        let is_peer = self.cluster.as_ref().is_some_and(|cl| {
+    /// Whether `from` is a peer replica of this controller's cluster.
+    fn is_peer(&self, from: NodeId) -> bool {
+        self.cluster.as_ref().is_some_and(|cl| {
             cl.membership
                 .config()
                 .index_of(from)
                 .is_some_and(|i| i != cl.membership.index())
-        });
-        if is_peer {
-            self.handle_peer_message(ctx, msg);
-            return;
-        }
-        // Any frame from a quarantined switch means the channel is back;
-        // ask for its state digest (quarantine lifts only on HelloResync,
-        // so routing stays conservative until state is reconciled).
-        if let Some(&dpid) = self.rev_registry.get(&from) {
-            if self.view.is_quarantined(dpid) && !matches!(msg, Message::HelloResync { .. }) {
-                self.maybe_request_resync(ctx, dpid);
-            }
-        } else if !matches!(msg, Message::Hello { .. } | Message::FeaturesReply { .. }) {
-            // A node we never completed the handshake with is talking to
-            // us — the Hello exchange was lost in transit. Re-solicit
-            // (throttled) so a faulty channel can't orphan a switch.
-            let now = ctx.now();
+        })
+    }
+
+    /// The switch-session preamble of every message from a non-peer
+    /// node; returns the sender's dpid once registered. A quarantined
+    /// switch that speaks up is asked for its state digest (quarantine
+    /// lifts only on HELLO_RESYNC, so routing stays conservative until
+    /// state is reconciled). An unregistered node that says anything but
+    /// the handshake itself lost its Hello exchange in transit: it is
+    /// re-solicited, throttled, so a faulty channel can't orphan it.
+    /// `msg` is `None` for a batch of PACKET_INs.
+    fn session_preamble(
+        &mut self,
+        ctx: &mut Context<'_>,
+        from: NodeId,
+        msg: Option<&Message>,
+    ) -> Option<Dpid> {
+        let now = ctx.now();
+        let Some(&dpid) = self.dpid_of.get(&from) else {
+            let handshake = matches!(
+                msg,
+                Some(Message::Hello { .. } | Message::FeaturesReply { .. })
+            );
             let due = self
                 .features_requested
                 .get(&from)
                 .is_none_or(|&last| now.duration_since(last) >= self.cfg.tick_interval);
-            if due {
+            if !handshake && due {
                 self.features_requested.insert(from, now);
-                self.stats.msgs_sent += 1;
-                ctx.send_control(from, encode(&Message::FeaturesRequest, 0));
+                send_plain(ctx, &mut self.stats, from, &Message::FeaturesRequest);
+            }
+            return None;
+        };
+        let tick = self.cfg.tick_interval;
+        if !matches!(msg, Some(Message::HelloResync { .. }))
+            && self.view.is_quarantined(dpid)
+            && self.sessions.get_mut(&dpid)?.resync_due(now, tick)
+        {
+            self.send_direct(ctx, dpid, &Message::ResyncRequest);
+        }
+        Some(dpid)
+    }
+
+    /// Bind `from` to switch `dpid` on its FEATURES_REPLY: a node speaks
+    /// for one switch at a time. Returns whether the reply answers a
+    /// port-map refresh rather than completing a handshake.
+    fn register(&mut self, from: NodeId, dpid: Dpid, now: Instant) -> bool {
+        if let Some(prev) = self.dpid_of.insert(from, dpid).filter(|&d| d != dpid) {
+            if let Some(s) = self.sessions.get_mut(&prev) {
+                s.node = None;
             }
         }
+        let s = self
+            .sessions
+            .entry(dpid)
+            .or_insert_with(|| SouthboundSession::new(None, now));
+        if let Some(old) = s.node.replace(from).filter(|&n| n != from) {
+            self.dpid_of.remove(&old);
+        }
+        s.last_heard = now;
+        self.features_requested.remove(&from);
+        std::mem::take(&mut s.port_refresh)
+    }
+
+    fn handle_message(&mut self, ctx: &mut Context<'_>, from: NodeId, msg: Message, xid: u32) {
+        let dpid = self.session_preamble(ctx, from, Some(&msg));
         match msg {
             Message::Hello { .. } => {
                 // Learn the session, ask who they are.
-                let reply = encode(
-                    &Message::Hello {
-                        version: zen_proto::VERSION,
-                    },
-                    0,
-                );
-                self.stats.msgs_sent += 2;
-                ctx.send_control(from, reply);
-                ctx.send_control(from, encode(&Message::FeaturesRequest, 0));
+                let version = zen_proto::VERSION;
+                send_plain(ctx, &mut self.stats, from, &Message::Hello { version });
+                send_plain(ctx, &mut self.stats, from, &Message::FeaturesRequest);
             }
             Message::FeaturesReply {
                 dpid,
                 n_tables,
                 ports,
             } => {
-                self.registry.insert(dpid, from);
-                self.rev_registry.insert(from, dpid);
-                self.liveness.insert(from, ctx.now());
-                self.features_requested.remove(&from);
+                let refresh = self.register(from, dpid, ctx.now());
                 let port_list: Vec<(PortNo, bool)> =
                     ports.iter().map(|p| (p.port_no, p.up)).collect();
                 self.view.add_switch(dpid, n_tables, &port_list);
-                if self.port_refresh.remove(&dpid) {
+                if refresh {
                     // A solicited port-map refresh, not a handshake:
                     // the session, role, and app state are all live.
                     // Discovery picks the fresh ports up next tick.
@@ -2616,28 +2320,17 @@ impl Controller {
                         self.note_mastership_trace(ctx, dpid, true);
                     }
                 }
-                self.with_apps(ctx, |apps, ctl| {
-                    for app in apps.iter_mut() {
-                        app.on_switch_up(ctl, dpid);
-                    }
-                });
+                self.each_app(ctx, |app, ctl| app.on_switch_up(ctl, dpid));
                 // Probe its links right away.
                 self.discovery_round(ctx);
             }
-            Message::PacketIn { in_port, frame, .. } => {
-                // Normally intercepted as a view in `on_control`; this
-                // arm only serves direct owned-message injection.
-                self.handle_packet_in_batch(ctx, from, &[(in_port, &frame)]);
-            }
             Message::PortStatus { port } => {
-                let Some(&dpid) = self.rev_registry.get(&from) else {
+                let Some(dpid) = dpid else {
                     return;
                 };
                 self.view.set_port(dpid, port.port_no, port.up);
-                self.with_apps(ctx, |apps, ctl| {
-                    for app in apps.iter_mut() {
-                        app.on_port_status(ctl, dpid, port.port_no, port.up);
-                    }
+                self.each_app(ctx, |app, ctl| {
+                    app.on_port_status(ctl, dpid, port.port_no, port.up)
                 });
             }
             Message::FlowRemoved {
@@ -2647,7 +2340,7 @@ impl Controller {
                 reason,
                 ..
             } => {
-                let Some(&dpid) = self.rev_registry.get(&from) else {
+                let Some(dpid) = dpid else {
                     return;
                 };
                 if reason == zen_proto::RemovedReason::Eviction {
@@ -2655,124 +2348,78 @@ impl Controller {
                 }
                 // Keep the cookie shadow honest for timeouts; deletions
                 // we ordered ourselves are folded in at barrier-ack time.
-                if reason != zen_proto::RemovedReason::Delete {
-                    let mut shrunk = false;
-                    if let Some(shadow) = self.shadow.get_mut(&dpid) {
-                        if let Some(count) = shadow.get_mut(&cookie) {
-                            *count = count.saturating_sub(1);
-                            if *count == 0 {
-                                shadow.remove(&cookie);
-                            }
-                            shrunk = true;
-                        }
-                    }
-                    if shrunk && self.cluster.is_some() && self.is_master_of(dpid) {
-                        let cookies = self.shadow_cookies(dpid);
-                        self.log_event(ViewEvent::ShadowSet { dpid, cookies });
-                    }
+                if reason != zen_proto::RemovedReason::Delete
+                    && self
+                        .sessions
+                        .get_mut(&dpid)
+                        .is_some_and(|s| s.note_removed(cookie))
+                    && self.is_master_of(dpid)
+                {
+                    self.log_shadow(dpid);
                 }
-                self.with_apps(ctx, |apps, ctl| {
-                    for app in apps.iter_mut() {
-                        app.on_flow_removed(ctl, dpid, table_id, priority, cookie);
-                    }
+                self.each_app(ctx, |app, ctl| {
+                    app.on_flow_removed(ctl, dpid, table_id, priority, cookie)
                 });
             }
             Message::EchoRequest { token } => {
-                self.stats.msgs_sent += 1;
-                ctx.send_control(from, encode(&Message::EchoReply { token }, 0));
+                send_plain(ctx, &mut self.stats, from, &Message::EchoReply { token });
             }
             Message::EchoReply { .. } => {
                 self.stats.echo_replies += 1;
             }
             Message::StatsReply { body } => {
-                let Some(&dpid) = self.rev_registry.get(&from) else {
+                let Some(dpid) = dpid else {
                     return;
                 };
-                self.with_apps(ctx, |apps, ctl| {
-                    for app in apps.iter_mut() {
-                        match &body {
-                            zen_proto::StatsBody::Port(records) => {
-                                app.on_port_stats(ctl, dpid, records)
-                            }
-                            zen_proto::StatsBody::Table(records) => {
-                                app.on_table_stats(ctl, dpid, records)
-                            }
-                            zen_proto::StatsBody::Flow(records) => {
-                                app.on_flow_stats(ctl, dpid, records)
-                            }
-                            zen_proto::StatsBody::Cache(record) => {
-                                app.on_cache_stats(ctl, dpid, record)
-                            }
-                        }
-                    }
+                self.each_app(ctx, |app, ctl| match &body {
+                    zen_proto::StatsBody::Port(records) => app.on_port_stats(ctl, dpid, records),
+                    zen_proto::StatsBody::Table(records) => app.on_table_stats(ctl, dpid, records),
+                    zen_proto::StatsBody::Flow(records) => app.on_flow_stats(ctl, dpid, records),
+                    zen_proto::StatsBody::Cache(record) => app.on_cache_stats(ctl, dpid, record),
                 });
             }
             Message::BarrierReply { applied } => {
-                // Retire the covered mods the switch confirmed — but
-                // only as an in-order prefix. Mods apply in
-                // transmission order, so if an earlier mod is still in
-                // flight (say a lost cookie-delete), a later
-                // already-applied mod must stay pending: the
-                // retransmit path then replays it *after* the missing
-                // one. Retiring it here would let the delete land last
-                // and silently wipe state the shadow believes
-                // installed.
-                let mut shadow_touched: BTreeSet<Dpid> = BTreeSet::new();
-                if let Some((_, xids)) = self.barriers.remove(&xid) {
-                    for mx in xids {
-                        if !applied.contains(&mx) {
-                            if self.pending.contains_key(&mx) {
-                                // Gap: everything after `mx` must be
-                                // replayed in order behind it.
-                                break;
-                            }
-                            // Resolved elsewhere (failed, superseded,
-                            // bounced): not a gap.
-                            continue;
-                        }
-                        if let Some(p) = self.pending.remove(&mx) {
-                            self.stats.mods_acked += 1;
-                            self.planner.note_xid(mx, true);
-                            let rec = ctx.recorder();
-                            if rec.is_enabled() {
-                                if let Some(trace) = rec.take_xid(mx) {
-                                    rec.record(
-                                        ctx.now().as_nanos(),
-                                        trace,
-                                        TraceEvent::FlowModAcked {
-                                            dpid: p.dpid,
-                                            xid: mx,
-                                        },
-                                    );
-                                }
-                            }
-                            self.apply_to_shadow(p.dpid, &p.msg);
-                            shadow_touched.insert(p.dpid);
+                // Retire the covered mods the switch confirmed, as an
+                // in-order prefix (see `SouthboundSession::on_barrier_reply`).
+                // Only the sender's own barriers are looked up.
+                let Some(dpid) = dpid else {
+                    return;
+                };
+                let acked = self
+                    .sessions
+                    .get_mut(&dpid)
+                    .map_or_else(Vec::new, |s| s.on_barrier_reply(xid, &applied));
+                if acked.is_empty() {
+                    return;
+                }
+                for mx in acked {
+                    self.stats.mods_acked += 1;
+                    self.planner.note_xid(mx, true);
+                    let rec = ctx.recorder();
+                    if rec.is_enabled() {
+                        if let Some(trace) = rec.take_xid(mx) {
+                            let event = TraceEvent::FlowModAcked { dpid, xid: mx };
+                            rec.record(ctx.now().as_nanos(), trace, event);
                         }
                     }
                 }
-                // Replicate the updated digests so a standby that later
-                // takes these switches over inherits an accurate shadow
-                // (one event per switch per barrier, not per mod).
-                if self.cluster.is_some() {
-                    for dpid in shadow_touched {
-                        let cookies = self.shadow_cookies(dpid);
-                        self.log_event(ViewEvent::ShadowSet { dpid, cookies });
-                    }
-                }
+                // One shadow event per switch per barrier, not per mod.
+                self.log_shadow(dpid);
             }
             Message::HelloResync {
                 generation,
                 cookies,
             } => {
-                let Some(&dpid) = self.rev_registry.get(&from) else {
+                let Some(dpid) = dpid else {
                     return;
                 };
-                self.agent_generations.insert(dpid, generation);
+                let Some(session) = self.sessions.get_mut(&dpid) else {
+                    return;
+                };
+                session.generation = Some(generation);
                 let reported: BTreeMap<u64, u32> =
                     cookies.iter().map(|c| (c.cookie, c.count)).collect();
-                let expected = self.shadow.get(&dpid).cloned().unwrap_or_default();
-                if reported == expected {
+                if &reported == session.shadow() {
                     // The switch kept exactly the state we believe it
                     // has; unacked mods stay pending and retransmit.
                     self.stats.resyncs_clean += 1;
@@ -2782,30 +2429,15 @@ impl Controller {
                     // stale world — drop them and let the owning apps
                     // reprogram from the reported truth.
                     self.stats.resyncs_dirty += 1;
-                    let superseded: Vec<u32> = self
-                        .pending
-                        .iter()
-                        .filter(|(_, p)| p.dpid == dpid)
-                        .map(|(&x, _)| x)
-                        .collect();
-                    for x in superseded {
-                        self.pending.remove(&x);
-                        self.stats.mods_superseded += 1;
-                        self.planner.note_xid(x, false);
-                    }
-                    self.shadow.insert(dpid, reported);
-                    if self.cluster.is_some() && self.is_master_of(dpid) {
-                        let cookies = self.shadow_cookies(dpid);
-                        self.log_event(ViewEvent::ShadowSet { dpid, cookies });
+                    session.set_shadow(reported);
+                    self.supersede_pending(dpid);
+                    if self.is_master_of(dpid) {
+                        self.log_shadow(dpid);
                     }
                     // Unquarantine *before* notifying apps so their
                     // reprogramming sees the switch in the graph.
                     self.view.unquarantine(dpid);
-                    self.with_apps(ctx, |apps, ctl| {
-                        for app in apps.iter_mut() {
-                            app.on_switch_resync(ctl, dpid);
-                        }
-                    });
+                    self.each_app(ctx, |app, ctl| app.on_switch_resync(ctl, dpid));
                 }
             }
             Message::RoleReply {
@@ -2816,7 +2448,7 @@ impl Controller {
                 // Only losing claims need bookkeeping: the switch names
                 // the `(term, replica)` that outranked us, and we defer
                 // to it until our own claim grows past it.
-                let Some(&dpid) = self.rev_registry.get(&from) else {
+                let Some(dpid) = dpid else {
                     return;
                 };
                 let stepped_down = {
@@ -2840,7 +2472,7 @@ impl Controller {
                 // A mod crossed a mastership change in flight. The
                 // diagnostic bytes carry the rejected request's xid.
                 self.stats.nonmaster_errors += 1;
-                let Some(&dpid) = self.rev_registry.get(&from) else {
+                let Some(dpid) = dpid else {
                     return;
                 };
                 let mod_xid = (data.len() == 4)
@@ -2867,7 +2499,7 @@ impl Controller {
                 } else if let Some(mx) = mod_xid {
                     // We already stepped down: the mod belongs to the new
                     // master's world now.
-                    if self.pending.remove(&mx).is_some() {
+                    if self.sessions.get_mut(&dpid).is_some_and(|s| s.retire(mx)) {
                         self.stats.mods_superseded += 1;
                         self.planner.note_xid(mx, false);
                     }
@@ -2883,21 +2515,17 @@ impl Controller {
                 // as failed rather than letting it burn its whole
                 // retransmit budget — resending cannot create capacity.
                 self.stats.table_full_errors += 1;
-                let Some(&dpid) = self.rev_registry.get(&from) else {
+                let Some(dpid) = dpid else {
                     return;
                 };
                 if data.len() == 4 {
                     let mx = u32::from_be_bytes([data[0], data[1], data[2], data[3]]);
-                    if self.pending.remove(&mx).is_some() {
+                    if self.sessions.get_mut(&dpid).is_some_and(|s| s.retire(mx)) {
                         self.stats.mods_failed += 1;
                         self.planner.note_xid(mx, false);
                     }
                 }
-                self.with_apps(ctx, |apps, ctl| {
-                    for app in apps.iter_mut() {
-                        app.on_table_full(ctl, dpid);
-                    }
-                });
+                self.each_app(ctx, |app, ctl| app.on_table_full(ctl, dpid));
             }
             // Other errors, ResyncRequest (agent-bound): informational.
             _ => {}
@@ -2957,11 +2585,7 @@ impl Node for Controller {
                     from_dpid: dpid,
                     from_port: port,
                 });
-                self.with_apps(ctx, |apps, ctl| {
-                    for app in apps.iter_mut() {
-                        app.on_port_status(ctl, dpid, port, false);
-                    }
-                });
+                self.each_app(ctx, |app, ctl| app.on_port_status(ctl, dpid, port, false));
             }
             self.quarantine_scan(ctx);
             self.retransmit_scan(ctx);
@@ -2973,11 +2597,7 @@ impl Node for Controller {
             }
             self.discovery_round(ctx);
             self.echo_round(ctx);
-            self.with_apps(ctx, |apps, ctl| {
-                for app in apps.iter_mut() {
-                    app.tick(ctl);
-                }
-            });
+            self.each_app(ctx, |app, ctl| app.tick(ctl));
             self.planner_pump(ctx);
             self.flush_barriers(ctx);
             ctx.set_timer(self.cfg.tick_interval, TIMER_TICK);
@@ -2989,8 +2609,17 @@ impl Node for Controller {
     }
 
     fn on_control(&mut self, ctx: &mut Context<'_>, from: NodeId, bytes: &[u8]) {
+        // East-west traffic from a peer replica bypasses the switch-
+        // session machinery (liveness, quarantine, handshake re-solicit).
+        let peer = self.is_peer(from);
         // Any bytes at all prove the agent's channel works.
-        self.liveness.insert(from, ctx.now());
+        if let Some(s) = self
+            .dpid_of
+            .get(&from)
+            .and_then(|d| self.sessions.get_mut(d))
+        {
+            s.last_heard = ctx.now();
+        }
         let mut at = 0;
         // PACKET_INs decode to borrowed views over `bytes` and are
         // collected for one batched app dispatch. Any other message
@@ -3002,9 +2631,12 @@ impl Node for Controller {
                     at += consumed;
                     self.stats.msgs_received += 1;
                     match view {
+                        // Peer replicas never punt.
+                        MessageView::PacketIn { .. } if peer => {}
                         MessageView::PacketIn { in_port, frame, .. } => {
                             punts.push((in_port, frame));
                         }
+                        other if peer => self.handle_peer_message(ctx, other.into_message()),
                         other => {
                             if !punts.is_empty() {
                                 let batch = std::mem::take(&mut punts);

@@ -30,6 +30,7 @@ pub mod cbench;
 pub mod controller;
 pub mod harness;
 pub mod policy;
+mod session;
 pub mod shard_fabric;
 pub mod snapshot;
 pub mod txn;

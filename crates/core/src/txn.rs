@@ -33,6 +33,7 @@
 use std::collections::VecDeque;
 
 use zen_dataplane::{FlowSpec, GroupDesc};
+use zen_proto::{FlowModCmd, GroupModCmd, Message, MeterModCmd};
 use zen_sim::Instant;
 
 use crate::view::Dpid;
@@ -109,6 +110,44 @@ impl UpdateOp {
             | UpdateOp::Meter { dpid, .. }
             | UpdateOp::RetireFlowsByCookie { dpid, .. }
             | UpdateOp::RetireGroup { dpid, .. } => dpid,
+        }
+    }
+
+    /// The op's wire message, undecorated: outside a two-phase commit,
+    /// retire ops execute as plain deletes.
+    pub(crate) fn message(&self) -> Message {
+        match self {
+            UpdateOp::Flow { table_id, spec, .. } => Message::FlowMod {
+                table_id: *table_id,
+                cmd: FlowModCmd::Add(spec.clone()),
+            },
+            UpdateOp::DeleteFlowsByCookie { cookie, .. }
+            | UpdateOp::RetireFlowsByCookie { cookie, .. } => Message::FlowMod {
+                table_id: 0,
+                cmd: FlowModCmd::DeleteByCookie { cookie: *cookie },
+            },
+            UpdateOp::Group { group_id, desc, .. } => Message::GroupMod {
+                group_id: *group_id,
+                cmd: GroupModCmd::Add(desc.clone()),
+            },
+            UpdateOp::DeleteGroup { group_id, .. } | UpdateOp::RetireGroup { group_id, .. } => {
+                Message::GroupMod {
+                    group_id: *group_id,
+                    cmd: GroupModCmd::Delete,
+                }
+            }
+            UpdateOp::Meter {
+                meter_id,
+                rate_bps,
+                burst_bytes,
+                ..
+            } => Message::MeterMod {
+                meter_id: *meter_id,
+                cmd: MeterModCmd::Add {
+                    rate_bps: *rate_bps,
+                    burst_bytes: *burst_bytes,
+                },
+            },
         }
     }
 }

@@ -180,6 +180,11 @@ fn chaos_soak_fat_tree_reconverges() {
     // The run is a pure function of the seed: a replay must produce an
     // identical trace, or debugging a chaos failure is hopeless.
     let second = soak(SOAK_SEED);
+    let shown = format!("{first:?}");
+    println!(
+        "chaos digest fnv1a={:016x}: {shown}",
+        zen_consensus::fnv1a(shown.as_bytes())
+    );
     assert_eq!(
         first, second,
         "replay diverged from first run (seed {SOAK_SEED:#x})"

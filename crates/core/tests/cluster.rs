@@ -526,5 +526,9 @@ fn fixed_seed_cluster_failover_soak_is_deterministic() {
 
     let first = run_soak(123);
     let second = run_soak(123);
+    println!(
+        "cluster digest fnv1a={:016x}:\n{first}",
+        zen_consensus::fnv1a(first.as_bytes())
+    );
     assert_eq!(first, second, "cluster failover soak is nondeterministic");
 }

@@ -587,5 +587,9 @@ fn fixed_seed_consensus_soak_is_deterministic() {
 
     let first = run_soak(131);
     let second = run_soak(131);
+    println!(
+        "consensus digest fnv1a={:016x}:\n{first}",
+        zen_consensus::fnv1a(first.as_bytes())
+    );
     assert_eq!(first, second, "consensus soak is nondeterministic");
 }

@@ -240,6 +240,11 @@ fn soak(seed: u64) -> TraceDigest {
 fn consistency_soak_replays_byte_identical() {
     let a = soak(0xC0DE);
     let b = soak(0xC0DE);
+    let shown = format!("{a:?}");
+    println!(
+        "consistency digest fnv1a={:016x}: {shown}",
+        zen_consensus::fnv1a(shown.as_bytes())
+    );
     assert_eq!(a, b, "same-seed soak runs diverged");
     // And the soak actually exercised the machinery under test.
     assert!(a.config_epoch >= 3, "soak never cycled epochs: {a:?}");

@@ -313,6 +313,11 @@ fn packet_in_flood_soak_bounded_blackhole_and_replay() {
 
     // (c) Byte-identical replay of the defended scenario.
     let replay = run_flood(true);
+    let shown = format!("{:?}", defended.digest);
+    println!(
+        "defense digest fnv1a={:016x}: {shown}",
+        zen_consensus::fnv1a(shown.as_bytes())
+    );
     assert_eq!(
         defended.digest, replay.digest,
         "defended soak diverged on replay (seed {SOAK_SEED:#x})"

@@ -188,6 +188,11 @@ fn evict_soak_bounds_occupancy_and_replays_identically() {
     // The run is a pure function of the seed: a replay must produce an
     // identical trace down to the telemetry export bytes.
     let second = evict_soak(SOAK_SEED);
+    let shown = format!("{first:?}");
+    println!(
+        "pressure digest fnv1a={:016x}: {shown}",
+        zen_consensus::fnv1a(shown.as_bytes())
+    );
     assert_eq!(
         first, second,
         "replay diverged from first run (seed {SOAK_SEED:#x})"

@@ -146,6 +146,11 @@ fn saturation_smoke_floor_and_replay() {
     // Byte-identical replay: the same seed must reproduce every
     // deterministic observable exactly.
     let second = run_once();
+    let shown = format!("{:?}", first.digest);
+    println!(
+        "saturation digest fnv1a={:016x}: {shown}",
+        zen_consensus::fnv1a(shown.as_bytes())
+    );
     assert_eq!(
         first.digest, second.digest,
         "replay diverged (seed {SMOKE_SEED:#x})"

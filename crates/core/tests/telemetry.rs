@@ -135,6 +135,10 @@ fn fixed_seed_export_is_byte_identical() {
     };
     let a = run();
     let b = run();
+    println!(
+        "telemetry digest fnv1a={:016x}:\n{a}",
+        zen_consensus::fnv1a(a.as_bytes())
+    );
     assert_eq!(a, b, "telemetry export diverged across identical runs");
 
     // The export carries every section.
